@@ -51,17 +51,6 @@ try:  # the trace subsystem arrives with this harness; the baseline tree lacks i
 except ImportError:  # pragma: no cover - only on pre-trace checkouts
     shared_trace_cache = None
 
-try:  # the switchable in-flight record backend arrives with PR 7
-    from repro.ooo.inflight import soa_batch_enabled, soa_enabled
-except ImportError:  # pragma: no cover - only on pre-SoA checkouts
-    soa_enabled = soa_batch_enabled = None
-
-try:  # the multi-config replay engine arrives with PR 8
-    from repro.campaign.executor import simulate_cells
-    from repro.pipeline.multi_replay import multi_replay_enabled
-except ImportError:  # pragma: no cover - only on pre-multi-replay checkouts
-    simulate_cells = multi_replay_enabled = None
-
 GRID_CONFIGS = (
     "Baseline_6_64",
     "Baseline_VP_6_64",
@@ -72,10 +61,7 @@ GRID_WORKLOADS = ("wupwise", "bzip2", "gcc", "milc")
 SINGLE_CONFIG = "EOLE_4_64"
 SINGLE_WORKLOAD = "gcc"
 
-#: The design-space sweep (≥8 configs × the grid workloads): the axis the
-#: multi-config replay engine (REPRO_MULTI_REPLAY) collapses into one pass per
-#: workload.  measure_config_sweep times it serial AND multi in the same
-#: session, so the recorded speedup is apples-to-apples.
+#: The design-space sweep (8 configs × the grid workloads), timed cell by cell.
 SWEEP_CONFIGS = (
     "Baseline_6_64",
     "Baseline_8_64",
@@ -149,16 +135,10 @@ def measure_grid(max_uops: int, warmup_uops: int, repeat: int) -> dict:
 
 
 def measure_config_sweep(max_uops: int, warmup_uops: int, repeat: int) -> dict:
-    """Serial vs single-pass multi-replay over the 8-config × 4-workload sweep.
+    """Best-of-``repeat`` timing of the 8-config × 4-workload sweep.
 
-    Both flavours run in this session with a cold trace cache per repeat, so the
-    recorded ``multi_speedup`` is a same-machine, same-checkout comparison:
-
-    * **serial** — the per-cell reference (`simulate_cell` per configuration,
-      workload-major so the in-process trace cache is reused identically);
-    * **multi** — each workload's configuration row as one
-      :class:`~repro.pipeline.multi_replay.MultiSimulator` pass
-      (`simulate_cells`).
+    Each repeat starts from a cold trace cache and runs `simulate_cell` per
+    configuration, workload-major, so each workload is captured once.
 
     ``configs_per_second`` is the sweep-shaped throughput number alongside the
     µops-per-second the other sections report: design-space exploration cares
@@ -176,35 +156,26 @@ def measure_config_sweep(max_uops: int, warmup_uops: int, repeat: int) -> dict:
     ]
     cells = sum(len(row_cells) for _, row_cells in rows)
 
-    def flavour(seconds: float) -> dict:
-        return {
-            "seconds": seconds,
-            "configs_per_second": cells / seconds,
-            "committed_uops_per_second": max_uops * cells / seconds,
-        }
-
-    serial_best = multi_best = float("inf")
+    best = float("inf")
     for _ in range(repeat):
         _clear_caches()
         started = time.perf_counter()
         for wl, row_cells in rows:
             for cell in row_cells:
                 simulate_cell(cell, wl)
-        serial_best = min(serial_best, time.perf_counter() - started)
-
-        _clear_caches()
-        started = time.perf_counter()
-        for wl, row_cells in rows:
-            simulate_cells(row_cells, wl)
-        multi_best = min(multi_best, time.perf_counter() - started)
+        best = min(best, time.perf_counter() - started)
     return {
         "configs": list(SWEEP_CONFIGS),
         "workloads": list(GRID_WORKLOADS),
         "cells": cells,
         "max_uops_per_cell": max_uops,
-        "serial": flavour(serial_best),
-        "multi": flavour(multi_best),
-        "multi_speedup": serial_best / multi_best,
+        # Keyed "serial" as in the older rungs, whose sweeps also timed a
+        # since-retired multi-config replay flavour next to it.
+        "serial": {
+            "seconds": best,
+            "configs_per_second": cells / best,
+            "committed_uops_per_second": max_uops * cells / best,
+        },
     }
 
 
@@ -325,18 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     meta = _parse_meta(args.meta)
-    if soa_enabled is not None:
-        # Stamp the in-flight record backend automatically so ladder rungs are
-        # always attributable; an explicit --meta backend=... wins.
-        meta.setdefault("backend", "soa" if soa_enabled() else "object")
-        if soa_enabled() and soa_batch_enabled():
-            meta.setdefault("soa_batch", "1")
-    if multi_replay_enabled is not None:
-        # How the single-cell/grid sections replayed (the config_sweep section
-        # always measures both flavours explicitly, whatever this says).
-        meta.setdefault(
-            "replay_mode", "multi" if multi_replay_enabled() else "serial"
-        )
 
     entry = {
         "label": args.label,
@@ -348,11 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         "trace_cache_available": shared_trace_cache is not None,
         "single_cell": measure_single_cell(args.max_uops, args.warmup_uops, args.repeat),
         "grid": measure_grid(args.max_uops, args.warmup_uops, args.repeat),
+        "config_sweep": measure_config_sweep(args.max_uops, args.warmup_uops, args.repeat),
     }
-    if simulate_cells is not None:
-        entry["config_sweep"] = measure_config_sweep(
-            args.max_uops, args.warmup_uops, args.repeat
-        )
     if meta:
         entry["meta"] = meta
     if args.method:
@@ -391,16 +347,11 @@ def main(argv: list[str] | None = None) -> int:
         f"grid {grid['cells']} cells: {grid['seconds']:.2f}s "
         f"({grid['committed_uops_per_second']:,.0f} µops/s)"
     )
-    if "config_sweep" in entry:
-        sweep = entry["config_sweep"]
-        print(
-            f"config sweep {sweep['cells']} cells: "
-            f"serial {sweep['serial']['seconds']:.2f}s "
-            f"({sweep['serial']['configs_per_second']:.1f} configs/s), "
-            f"multi-replay {sweep['multi']['seconds']:.2f}s "
-            f"({sweep['multi']['configs_per_second']:.1f} configs/s) "
-            f"-> {sweep['multi_speedup']:.2f}x"
-        )
+    sweep = entry["config_sweep"]["serial"]
+    print(
+        f"config sweep {entry['config_sweep']['cells']} cells: {sweep['seconds']:.2f}s "
+        f"({sweep['configs_per_second']:.1f} configs/s)"
+    )
     if "grid_speedup" in entry:
         print(
             f"speedup vs {entry.get('baseline_label') or 'previous rung'}: "

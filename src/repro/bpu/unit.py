@@ -180,15 +180,3 @@ class BranchPredictionUnit:
         for pc, outcome in group:
             if outcome.tage is not None:
                 update(pc, outcome.actual_taken, outcome.tage)
-
-    def train_commit_group_columns(
-        self, pcs: list[int], outcomes: "list[BranchOutcome]"
-    ) -> None:
-        """Columnar :meth:`train_commit_group`: parallel pc/outcome sequences
-        (what the structure-of-arrays commit loop accumulates); the per-item
-        TAGE update order is the commit order, exactly as with the tuple form.
-        """
-        update = self.tage.update
-        for pc, outcome in zip(pcs, outcomes):
-            if outcome.tage is not None:
-                update(pc, outcome.actual_taken, outcome.tage)

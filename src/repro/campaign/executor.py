@@ -35,12 +35,6 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import Campaign, CampaignCell
 from repro.campaign.store import ResultStore, default_store
 from repro.obs.telemetry import TraceCacheSnapshot, cell_telemetry
-from repro.pipeline.multi_replay import (
-    MultiSimulator,
-    PlaneSpec,
-    multi_replay_enabled,
-    multi_replay_width,
-)
 from repro.pipeline.simulator import Simulator
 from repro.pipeline.stats import SimulationResult
 from repro.trace.cache import shared_trace_cache, trace_cache_enabled
@@ -106,81 +100,6 @@ def simulate_cell(
     return simulator.run()
 
 
-def simulate_cells(
-    cells: list[CampaignCell], wl: Workload | None = None, trace=None
-) -> list[SimulationResult]:
-    """Simulate same-workload cells in one multi-replay pass (cell order kept).
-
-    The multi-config twin of :func:`simulate_cell`: one shared trace (captured
-    long enough for the deepest fetch-ahead window in the batch), one
-    :class:`MultiSimulator` pass over it.  Results are byte-identical to running
-    :func:`simulate_cell` per cell — callers gate on
-    :func:`repro.pipeline.multi_replay.multi_replay_enabled` for the opt-in.
-    """
-    return [result for _, result, _, _ in _simulate_cell_group(cells, wl, trace)]
-
-
-def _simulate_cell_group(
-    cells: list[CampaignCell], wl: Workload | None = None, trace=None
-) -> list[tuple[CampaignCell, SimulationResult, float, dict]]:
-    """One multi-replay pass plus per-cell telemetry attribution.
-
-    Telemetry rows keep the serial schema exactly (``repro-campaign report
-    --metrics`` is unchanged): each cell's ``wall_seconds`` is its plane's own
-    simulation time plus an even share of the pass overhead (capture +
-    scheduling), and the one shared trace acquisition is attributed to the first
-    cell's trace-cache delta — the serial path charges the capture to whichever
-    cell triggers it, and in a group that is the first one.
-    """
-    if not cells:
-        return []
-    wl = wl if wl is not None else workload(cells[0].workload_name)
-    first_snapshot = TraceCacheSnapshot()
-    started = time.monotonic()
-    if trace is None and trace_cache_enabled():
-        trace = shared_trace_cache.trace_for_many(
-            wl, [(cell.max_uops, cell.config) for cell in cells]
-        )
-    rest_snapshot = TraceCacheSnapshot()  # after the one shared acquisition
-    multi = MultiSimulator(
-        [PlaneSpec(cell.config, cell.max_uops, cell.warmup_uops) for cell in cells],
-        wl.program,
-        workload_name=wl.name,
-        trace=trace,
-        make_state=wl.make_state if trace is None else None,
-    )
-    results = multi.run()
-    shared_overhead = max(
-        0.0, (time.monotonic() - started) - sum(multi.plane_seconds)
-    ) / len(cells)
-    out = []
-    for index, (cell, result) in enumerate(zip(cells, results)):
-        seconds = multi.plane_seconds[index] + shared_overhead
-        snapshot = first_snapshot if index == 0 else rest_snapshot
-        out.append((cell, result, seconds, cell_telemetry(result, seconds, snapshot)))
-    return out
-
-
-def _replay_groups(pending: list[CampaignCell]) -> list[list[CampaignCell]]:
-    """Same-workload cell groups, chunked by ``REPRO_MULTI_REPLAY_WIDTH``.
-
-    Grouping is by workload name only — :meth:`TraceCache.trace_for_many` sizes
-    the one shared capture for the deepest (max_uops, config) plane, so mixed
-    run lengths share a pass too.
-    """
-    groups: dict[str, list[CampaignCell]] = {}
-    for cell in pending:
-        groups.setdefault(cell.workload_name, []).append(cell)
-    width = multi_replay_width()
-    if not width:
-        return list(groups.values())
-    return [
-        group[start : start + width]
-        for group in groups.values()
-        for start in range(0, len(group), width)
-    ]
-
-
 def _simulate_one_entry(cell: CampaignCell) -> dict:
     """Simulate one cell into a shippable success/error entry (never raises)."""
     snapshot = TraceCacheSnapshot()
@@ -205,28 +124,10 @@ def _pool_worker(cells: list[CampaignCell]) -> list[dict]:
     captures the architectural trace once per workload and replays it for every
     configuration in the batch.  Each cell ships back as one entry — either
     ``{"fingerprint", "result", "seconds", "telemetry"}`` or ``{"fingerprint",
-    "error"}`` — so a raising cell costs only itself: a failed multi-replay group
-    falls back to per-cell simulation and everything else in the batch continues.
+    "error"}`` — so a raising cell costs only itself and everything else in the
+    batch continues.
     """
-    out: list[dict] = []
-    if multi_replay_enabled() and len(cells) > 1:
-        for group in _replay_groups(cells):
-            try:
-                for cell, result, seconds, telemetry in _simulate_cell_group(group):
-                    out.append(
-                        {
-                            "fingerprint": cell.fingerprint,
-                            "result": result.to_dict(),
-                            "seconds": seconds,
-                            "telemetry": telemetry,
-                        }
-                    )
-            except Exception:  # noqa: BLE001 — retry the group cell by cell
-                out.extend(_simulate_one_entry(cell) for cell in group)
-        return out
-    for cell in cells:
-        out.append(_simulate_one_entry(cell))
-    return out
+    return [_simulate_one_entry(cell) for cell in cells]
 
 
 @dataclass
@@ -336,25 +237,9 @@ def run_campaign(
 
     if pending:
         if workers <= 1 or len(pending) == 1:
-            if multi_replay_enabled() and len(pending) > 1:
-                # Same-workload cells collapse into one multi-replay pass each
-                # (REPRO_MULTI_REPLAY=1, chunked by REPRO_MULTI_REPLAY_WIDTH);
-                # results and telemetry rows land per cell exactly as the
-                # serial loop below produces them.  A raising group retries its
-                # cells one by one, so one bad cell costs only itself.
-                for group in _replay_groups(pending):
-                    for cell in group:
-                        reporter.cell_started(cell)
-                    try:
-                        for cell, result, seconds, telemetry in _simulate_cell_group(group):
-                            complete(cell, result, seconds, telemetry)
-                    except Exception:  # noqa: BLE001 — fall back to per-cell
-                        for cell in group:
-                            deliver(cell, _simulate_one_entry(cell))
-            else:
-                for cell in pending:
-                    reporter.cell_started(cell)
-                    deliver(cell, _simulate_one_entry(cell))
+            for cell in pending:
+                reporter.cell_started(cell)
+                deliver(cell, _simulate_one_entry(cell))
         else:
             _run_sharded(pending, workers, deliver)
 

@@ -90,24 +90,6 @@ class PipeTracer:
         self.emitted += 1
         self._events.append((cycle, stage, op.seq, op.pc, op.slot, cause))
 
-    def emit_slot(
-        self,
-        cycle: int,
-        stage: str,
-        seq: int,
-        pc: int,
-        slot: int,
-        cause: str | None = None,
-    ) -> None:
-        """Record one lifecycle event from SoA columns.
-
-        The structure-of-arrays stage loops pass ``seq``/``pc`` read from the
-        pool's ``c_seq``/``c_pc`` columns (mirrors of the record fields), so the
-        emitted tuples are byte-identical to :meth:`emit` on the same µ-op.
-        """
-        self.emitted += 1
-        self._events.append((cycle, stage, seq, pc, slot, cause))
-
     def __len__(self) -> int:
         return len(self._events)
 

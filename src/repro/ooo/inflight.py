@@ -16,8 +16,6 @@ producers' timing fields until they issue.
 
 from __future__ import annotations
 
-import os
-from array import array
 from collections import deque
 
 from repro.bpu.unit import BranchOutcome
@@ -26,48 +24,6 @@ from repro.vp.base import VPrediction
 
 #: Sentinel used for "not yet known" cycle fields.
 UNKNOWN_CYCLE = -1
-
-#: Opt-in switch for the structure-of-arrays backend: ``REPRO_SOA=1`` selects the
-#: columnar pool + SoA stage loops, anything else keeps the object-record pool
-#: (the bit-identical production default).  The switchable-backend discipline
-#: mirrors ``REPRO_EVENT_DRIVEN`` / ``REPRO_WAKEUP_LISTS``; unlike those, the
-#: *reference* stays the default because per-element column access measures
-#: slower than ``__slots__`` attribute access on CPython (see
-#: docs/performance.md — the columns exist for the vectorised-kernel seam, not
-#: for scalar-loop wins).
-SOA_ENV_VAR = "REPRO_SOA"
-
-#: Opt-in numpy batch kernels over the SoA columns (default **off**); see
-#: :mod:`repro.ooo.soa_batch`.  Ignored (gracefully) when numpy is unavailable
-#: or the SoA backend itself is off.
-SOA_BATCH_ENV_VAR = "REPRO_SOA_BATCH"
-
-
-def soa_enabled() -> bool:
-    """True when ``REPRO_SOA=1`` opts into the columnar (SoA) backend."""
-    return os.environ.get(SOA_ENV_VAR, "0") == "1"
-
-
-def soa_batch_enabled() -> bool:
-    """True when ``REPRO_SOA_BATCH=1`` opts into the numpy batch kernels."""
-    return os.environ.get(SOA_BATCH_ENV_VAR, "0") == "1"
-
-
-# Status-flag bit layout of the SoA ``c_flags`` column (one small int per
-# slot); the second column ``c_flags2`` holds the two flags whose reset discipline
-# differs (``mem_blocked`` is overwritten-before-read, ``in_completion_wheel``
-# is invariantly clear for free-list records), so recycling a record resets all
-# eight primary flags with a single ``c_flags[slot] = 0`` store.
-F_PRED_USED = 1
-F_EARLY_EXECUTED = 2
-F_LATE_EXECUTED = 4
-F_IN_ISSUE_QUEUE = 8
-F_ISSUED = 16
-F_EXECUTED = 32
-F_SQUASHED = 64
-F_LOAD_FORWARDED = 128
-F2_MEM_BLOCKED = 1
-F2_IN_COMPLETION_WHEEL = 2
 
 
 class InflightOp:
@@ -324,212 +280,3 @@ class InflightOpPool:
             return
         while deferred and deferred[0][0] < oldest_inflight_seq:
             free.append(deferred.popleft()[1].slot)
-
-
-# --------------------------------------------------------------------- SoA backend
-class ColumnarInflightOp(InflightOp):
-    """Thin slot-view over :class:`ColumnarInflightOpPool` columns.
-
-    Timing cycles, counters and status flags live in the pool's typed arrays,
-    indexed by this record's ``slot``; the class-level properties installed below
-    shadow the inherited ``__slots__`` descriptors so every cold-path read/write
-    (squash recovery, obs hooks, tests, the reference stage loops) transparently
-    hits the columns.  Hot loops in the simulator bypass the properties and read
-    the columns directly.  Reference fields whose values are Python objects
-    (``dyn``/``uop``/``producers``/``prediction``/…) stay real slots.
-    """
-
-    __slots__ = ("pool",)
-
-    def __init__(self, dyn: DynInst, pool: "ColumnarInflightOpPool", slot: int) -> None:
-        # Column defaults were appended by the pool before construction; only the
-        # object-valued slots need their one-time defaults here (mirrors
-        # ``InflightOp.__init__`` — see its reset-exemption notes).
-        self.pool = pool
-        self.slot = slot
-        self.history_snapshot = 0
-        self.producers = ()
-        self.mem_dependence = None
-        self.branch_outcome = None
-        self._init(dyn)
-
-    def _init(self, dyn: DynInst) -> None:
-        pool = self.pool
-        slot = self.slot
-        self.dyn = dyn
-        seq = dyn.seq
-        pc = dyn.pc
-        uop = dyn.uop
-        self.seq = seq
-        self.pc = pc
-        self.uop = uop
-        pool.c_seq[slot] = seq
-        pool.c_pc[slot] = pc
-        pool.c_hot[slot] = uop.hot_mask
-        pool.c_wake_gen[slot] += 1
-        self.wake_consumers = None
-        self.mem_waiters = None
-        pool.c_avail[slot] = UNKNOWN_CYCLE
-        pool.c_iq_waiters[slot] = 0
-        self.prediction = None
-        # One store clears pred_used/early/late/in_iq/issued/executed/squashed/
-        # load_forwarded at once (c_flags2 keeps the reference's reset exemptions).
-        pool.c_flags[slot] = 0
-        pool.c_dest_bank[slot] = 0
-
-
-def _column_property(column: str) -> property:
-    source = (
-        f"def fget(self):\n"
-        f"    return self.pool.{column}[self.slot]\n"
-        f"def fset(self, value):\n"
-        f"    self.pool.{column}[self.slot] = value\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return property(namespace["fget"], namespace["fset"])
-
-
-def _flag_property(column: str, bit: int) -> property:
-    source = (
-        f"def fget(self):\n"
-        f"    return self.pool.{column}[self.slot] & {bit} != 0\n"
-        f"def fset(self, value):\n"
-        f"    flags = self.pool.{column}\n"
-        f"    slot = self.slot\n"
-        f"    if value:\n"
-        f"        flags[slot] |= {bit}\n"
-        f"    else:\n"
-        f"        flags[slot] &= {~bit & 0xFF}\n"
-    )
-    namespace: dict = {}
-    exec(source, namespace)
-    return property(namespace["fget"], namespace["fset"])
-
-
-#: field name → integer column (a plain list on the pool).
-COLUMN_FIELDS = {
-    "fetch_cycle": "c_fetch",
-    "dispatch_ready_cycle": "c_disp_ready",
-    "dispatch_cycle": "c_dispatch",
-    "issue_cycle": "c_issue",
-    "complete_cycle": "c_complete",
-    "commit_cycle": "c_commit",
-    "avail_cycle": "c_avail",
-    "wait_until": "c_wait",
-    "iq_waiters": "c_iq_waiters",
-    "wake_gen": "c_wake_gen",
-    "unknown_producers": "c_unknown",
-    "dest_bank": "c_dest_bank",
-}
-
-#: field name → (byte column, bit) for the status flags.
-FLAG_FIELDS = {
-    "pred_used": ("c_flags", F_PRED_USED),
-    "early_executed": ("c_flags", F_EARLY_EXECUTED),
-    "late_executed": ("c_flags", F_LATE_EXECUTED),
-    "in_issue_queue": ("c_flags", F_IN_ISSUE_QUEUE),
-    "issued": ("c_flags", F_ISSUED),
-    "executed": ("c_flags", F_EXECUTED),
-    "squashed": ("c_flags", F_SQUASHED),
-    "load_forwarded": ("c_flags", F_LOAD_FORWARDED),
-    "mem_blocked": ("c_flags2", F2_MEM_BLOCKED),
-    "in_completion_wheel": ("c_flags2", F2_IN_COMPLETION_WHEEL),
-}
-
-for _field, _column in COLUMN_FIELDS.items():
-    setattr(ColumnarInflightOp, _field, _column_property(_column))
-for _field, (_column, _bit) in FLAG_FIELDS.items():
-    setattr(ColumnarInflightOp, _field, _flag_property(_column, _bit))
-del _field, _column, _bit
-
-
-class ColumnarInflightOpPool(InflightOpPool):
-    """:class:`InflightOpPool` with the timing/flag state in parallel typed arrays.
-
-    Same arena/free-list/retirement-barrier protocol as the object-record pool;
-    additionally every slot owns one element in each column below, written through
-    either the :class:`ColumnarInflightOp` properties (cold paths) or directly by
-    the simulator's SoA stage loops (hot paths).  ``c_seq``/``c_pc``/``c_hot``
-    mirror the record's ``seq``/``pc``/``uop.hot_mask`` so tracer events, metrics
-    and batch kernels can be sourced from columns alone.
-    """
-
-    __slots__ = (
-        "c_fetch",
-        "c_disp_ready",
-        "c_dispatch",
-        "c_issue",
-        "c_complete",
-        "c_commit",
-        "c_avail",
-        "c_wait",
-        "c_iq_waiters",
-        "c_wake_gen",
-        "c_unknown",
-        "c_dest_bank",
-        "c_hot",
-        "c_seq",
-        "c_pc",
-        "c_flags",
-        "c_flags2",
-    )
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Every per-element column is a plain list, not ``array('q')``/
-        # ``bytearray``: a CPython list subscript returns the stored object
-        # directly (and hits the adaptive BINARY_SUBSCR_LIST_INT
-        # specialisation), while the typed containers box a fresh ``int`` on
-        # every read and stay unspecialised — measurably slower in the
-        # per-element stage loops, which dominate (see docs/performance.md).
-        # Only ``c_hot`` stays a C-backed buffer: it is written once per fetch,
-        # read rarely, and the numpy drain kernel views it zero-copy via
-        # ``frombuffer``.
-        self.c_fetch: list[int] = []
-        self.c_disp_ready: list[int] = []
-        self.c_dispatch: list[int] = []
-        self.c_issue: list[int] = []
-        self.c_complete: list[int] = []
-        self.c_commit: list[int] = []
-        self.c_avail: list[int] = []
-        self.c_wait: list[int] = []
-        self.c_iq_waiters: list[int] = []
-        self.c_wake_gen: list[int] = []
-        self.c_unknown: list[int] = []
-        self.c_dest_bank: list[int] = []
-        self.c_hot = array("q")
-        self.c_seq: list[int] = []
-        self.c_pc: list[int] = []
-        self.c_flags: list[int] = []
-        self.c_flags2: list[int] = []
-
-    def acquire(self, dyn: DynInst) -> InflightOp:
-        """A fresh slot-view record for ``dyn`` (recycled or arena-grown)."""
-        free = self._free
-        if free:
-            op = self._arena[free.pop()]
-            op._init(dyn)
-            return op
-        slot = len(self._arena)
-        unknown = UNKNOWN_CYCLE
-        self.c_fetch.append(unknown)
-        self.c_disp_ready.append(unknown)
-        self.c_dispatch.append(unknown)
-        self.c_issue.append(unknown)
-        self.c_complete.append(unknown)
-        self.c_commit.append(unknown)
-        self.c_avail.append(unknown)
-        self.c_wait.append(0)
-        self.c_iq_waiters.append(0)
-        self.c_wake_gen.append(0)
-        self.c_unknown.append(0)
-        self.c_dest_bank.append(0)
-        self.c_hot.append(0)
-        self.c_seq.append(0)
-        self.c_pc.append(0)
-        self.c_flags.append(0)
-        self.c_flags2.append(0)
-        op = ColumnarInflightOp(dyn, self, slot)
-        self._arena.append(op)
-        return op

@@ -57,22 +57,6 @@ class TraceCache:
         """
         return self._acquire(workload, required_length(max_uops, config), max_uops)
 
-    def trace_for_many(self, workload, requests) -> CapturedTrace:
-        """One trace covering every ``(max_uops, config)`` request (multi-replay).
-
-        The one-decode-N-consumers entry point of the multi-config replay engine
-        (:mod:`repro.pipeline.multi_replay`): the required length is the *maximum*
-        fetch-ahead window across the requested configuration planes, so a batch
-        mixing shallow and deep front-ends costs one capture instead of the serial
-        path's re-capture ratchet (capture for the shallow config, throw away,
-        re-capture longer when the deep config arrives).
-        """
-        requests = list(requests)
-        if not requests:
-            raise ValueError("trace_for_many needs at least one (max_uops, config)")
-        needed = max(required_length(m, config) for m, config in requests)
-        return self._acquire(workload, needed, max(m for m, _ in requests))
-
     def trace_for_length(self, workload, length: int) -> CapturedTrace:
         """A trace of at least ``length`` committed µ-ops (trace-level studies).
 

@@ -169,23 +169,3 @@ class ValuePredictor(ABC):
         for pc, actual, prediction in group:
             record_outcome(prediction, actual)
             train(pc, actual, prediction)
-
-    def train_commit_group_columns(
-        self,
-        pcs: list[int],
-        actuals: list[int],
-        predictions: "list[VPrediction | None]",
-        batch: bool = False,
-    ) -> None:
-        """Columnar :meth:`train_commit_group`: parallel pc/actual/prediction
-        sequences instead of per-item tuples (what the structure-of-arrays
-        commit loop accumulates).  ``batch`` opts into order-safe numpy
-        reductions where a subclass has them; the per-item table-update order —
-        and hence any deterministic PRNG draw sequence — is always the commit
-        order, exactly as in :meth:`train_commit_group`.
-        """
-        record_outcome = self.stats.record_outcome
-        train = self.train
-        for pc, actual, prediction in zip(pcs, actuals, predictions):
-            record_outcome(prediction, actual)
-            train(pc, actual, prediction)

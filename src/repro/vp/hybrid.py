@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bpu.history import GlobalHistory
-from repro.ooo.soa_batch import VALIDATE_MIN_BATCH, record_outcome_counts
 from repro.vp.base import ValuePredictor, VPrediction
 from repro.vp.confidence import PAPER_FPC_VECTOR
 from repro.vp.stride import _MASK64, TwoDeltaStridePredictor
@@ -138,49 +137,6 @@ class VTAGE2DStrideHybrid(ValuePredictor):
                         stats.incorrect_used += 1
                 elif prediction.value == actual:
                     stats.unused_correct += 1
-                meta: _HybridMeta = prediction.meta
-                if meta is not None:
-                    vtage_train(pc, actual, meta.vtage_meta, meta.vtage_value)
-                    stride_train(pc, actual, meta.stride_hit, meta.stride_value)
-                    continue
-            self.vtage.train(pc, actual, None)
-            self.stride.train(pc, actual, None)
-
-    def train_commit_group_columns(
-        self,
-        pcs: list[int],
-        actuals: list[int],
-        predictions: list[VPrediction | None],
-        batch: bool = False,
-    ) -> None:
-        """Columnar :meth:`train_commit_group` (parallel sequences, flattened
-        wrappers).  With ``batch=True`` the outcome tallies are computed as one
-        numpy equality-mask reduction when the whole group is batchable — the
-        tallies are order-independent sums, so the per-item component training
-        order (and the FPC draw sequence it drives) is untouched.
-        """
-        stats = self.stats
-        vtage_train = self.vtage.train_parts
-        stride_train = self.stride.train_parts
-        counted = False
-        if batch and len(pcs) >= VALIDATE_MIN_BATCH:
-            counts = record_outcome_counts(actuals, predictions)
-            if counts is not None:
-                stats.correct_used += counts[0]
-                stats.incorrect_used += counts[1]
-                stats.unused_correct += counts[2]
-                counted = True
-        for pc, actual, prediction in zip(pcs, actuals, predictions):
-            if prediction is not None:
-                if not counted:
-                    # Inlined PredictorStatistics.record_outcome.
-                    if prediction.confident:
-                        if prediction.value == actual:
-                            stats.correct_used += 1
-                        else:
-                            stats.incorrect_used += 1
-                    elif prediction.value == actual:
-                        stats.unused_correct += 1
                 meta: _HybridMeta = prediction.meta
                 if meta is not None:
                     vtage_train(pc, actual, meta.vtage_meta, meta.vtage_value)

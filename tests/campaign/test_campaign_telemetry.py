@@ -55,34 +55,6 @@ class TestStoredTelemetry:
         for record in store.records():
             assert record["telemetry"]["wall_seconds"] > 0
 
-    def test_multi_replay_campaign_keeps_the_telemetry_schema(self, tmp_path, monkeypatch):
-        """REPRO_MULTI_REPLAY=1 groups cells into one pass per workload, yet the
-        stored rows keep the serial schema and attribution: one row per cell,
-        positive per-plane wall clock, and exactly one trace capture charged per
-        workload group (to its first cell, like the serial path charges the
-        first cell that triggers the capture)."""
-        from repro.pipeline.multi_replay import MULTI_REPLAY_ENV_VAR
-
-        monkeypatch.setenv(MULTI_REPLAY_ENV_VAR, "1")
-        shared_trace_cache.clear()
-        store = ResultStore(tmp_path / "s.jsonl")
-        run_campaign(_campaign(), store=store, workers=1)
-        records = store.records()
-        assert len(records) == 4
-        captures_by_workload: dict[str, int] = {}
-        for record in records:
-            telemetry = record["telemetry"]
-            assert telemetry["wall_seconds"] > 0
-            assert telemetry["uops_per_second"] > 0
-            assert set(telemetry["trace_cache"]) == {"captures", "hits", "store_hits"}
-            assert isinstance(telemetry["worker_pid"], int)
-            workload_name = record["workload"]
-            captures_by_workload[workload_name] = (
-                captures_by_workload.get(workload_name, 0)
-                + telemetry["trace_cache"]["captures"]
-            )
-        assert captures_by_workload == {"gcc": 1, "mcf": 1}
-
     def test_snapshot_delta_counts_cache_activity(self):
         shared_trace_cache.clear()
         snapshot = TraceCacheSnapshot()

@@ -192,27 +192,17 @@ def test_wakeup_selection_equals_reference_scan(scenario):
     assert wakeup == reference
 
 
-def test_wakeup_env_switch(monkeypatch):
-    from repro.ooo.issue_queue import WAKEUP_ENV_VAR, wakeup_lists_enabled
-
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
-    assert wakeup_lists_enabled()
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
-    assert not wakeup_lists_enabled()
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "1")
-    assert wakeup_lists_enabled()
-
-
 def test_simulator_constructs_requested_queue(monkeypatch):
-    from repro.ooo.issue_queue import WAKEUP_ENV_VAR
+    """The fast path runs the wake-up IQ; ``REPRO_EVENT_DRIVEN=0`` (the reference)
+    runs the scan IQ."""
     from repro.pipeline.config import named_config
-    from repro.pipeline.simulator import Simulator
+    from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator
     from repro.workloads.suite import workload
 
     wl = workload("gcc")
-    monkeypatch.setenv(WAKEUP_ENV_VAR, "0")
+    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
     sim = Simulator(named_config("Baseline_6_64"), wl.program, max_uops=10)
     assert type(sim.iq) is IssueQueue
-    monkeypatch.delenv(WAKEUP_ENV_VAR, raising=False)
+    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     sim = Simulator(named_config("Baseline_6_64"), wl.program, max_uops=10)
     assert type(sim.iq) is WakeupIssueQueue

@@ -18,9 +18,13 @@ MAX_UOPS, WARMUP = 1500, 300
 class _UngatedSimulator(Simulator):
     """Reference: force the IQ scan on every cycle (the pre-gating behaviour)."""
 
-    def _issue(self):
+    def _issue_wakeup(self):
         self._iq_scan_from = self.cycle
-        super()._issue()
+        super()._issue_wakeup()
+
+    def _issue_scan(self):
+        self._iq_scan_from = self.cycle
+        super()._issue_scan()
 
 
 def _run(simulator_cls, config, wl):

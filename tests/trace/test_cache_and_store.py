@@ -1,7 +1,5 @@
 """Trace cache and on-disk trace store behaviour."""
 
-import pytest
-
 from repro.pipeline.config import baseline_6_64
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, TraceCache, trace_cache_enabled
 from repro.trace.capture import capture_workload_trace
@@ -42,29 +40,6 @@ class TestTraceCache:
         assert cache.captures == 2
         # The longer capture replaces the entry and serves smaller requests too.
         assert cache.trace_for(workload("gcc"), 500, config) is longer
-
-    def test_trace_for_many_captures_once_for_the_deepest_plane(self):
-        """A mixed batch costs ONE capture sized for its deepest fetch-ahead
-        window — the serial path would capture for the shallow config first and
-        re-capture when the deeper one arrived."""
-        from repro.pipeline.config import baseline_8_64
-        from repro.trace.capture import required_length
-
-        cache = TraceCache(store=_NO_STORE)
-        shallow, deep = baseline_6_64(), baseline_8_64()
-        requests = [(1000, shallow), (9000, deep)]
-        trace = cache.trace_for_many(workload("gcc"), requests)
-        assert cache.captures == 1
-        assert trace.covers(max(required_length(m, c) for m, c in requests))
-        # Per-plane trace_for calls now all hit the shared capture.
-        assert cache.trace_for(workload("gcc"), 1000, shallow) is trace
-        assert cache.trace_for(workload("gcc"), 9000, deep) is trace
-        assert cache.captures == 1
-
-    def test_trace_for_many_rejects_an_empty_batch(self):
-        cache = TraceCache(store=_NO_STORE)
-        with pytest.raises(ValueError):
-            cache.trace_for_many(workload("gcc"), [])
 
     def test_impostor_workload_does_not_reuse_registry_trace(self):
         cache = TraceCache(store=_NO_STORE)
