@@ -18,8 +18,9 @@ import pytest
 
 from repro.campaign.executor import simulate_cell
 from repro.campaign.spec import CampaignCell
+from repro.ooo.issue_queue import IssueQueue, WakeupIssueQueue
 from repro.pipeline.config import named_config
-from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR
+from repro.pipeline.simulator import EVENT_DRIVEN_ENV_VAR, Simulator
 from repro.trace.cache import TRACE_CACHE_ENV_VAR, shared_trace_cache
 from repro.trace.capture import capture_workload_trace, required_length
 from repro.trace.encoding import CapturedTrace
@@ -114,12 +115,24 @@ def test_shared_cache_counts_replays():
     assert shared_trace_cache.captures == before + 1  # one emulation, two configs
 
 
-def _event_grid_dicts(monkeypatch, *, event_driven: bool) -> dict[str, dict]:
+def _event_grid_dicts(
+    monkeypatch, *, event_driven: bool
+) -> tuple[dict[str, dict], dict[str, tuple[bool, type]]]:
+    """Run the full grid in one mode; return its results and, per cell, the loop
+    flavour (event-driven or not) and issue-queue class the simulator really used."""
     if event_driven:
         monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
     else:
         monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
-    out = {}
+    used: list[tuple[bool, type]] = []
+    original_run = Simulator.run
+
+    def recording_run(self):
+        used.append((self._event_driven, type(self.iq)))
+        return original_run(self)
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    out, modes = {}, {}
     for config_name in EVENT_GRID_CONFIGS:
         for workload_name in EVENT_GRID_WORKLOADS:
             cell = CampaignCell(
@@ -129,23 +142,68 @@ def _event_grid_dicts(monkeypatch, *, event_driven: bool) -> dict[str, dict]:
                 warmup_uops=WARMUP_UOPS,
             )
             out[cell.describe()] = simulate_cell(cell).to_dict()
-    return out
+            modes[cell.describe()] = used[-1]
+    monkeypatch.setattr(Simulator, "run", original_run)
+    return out, modes
 
 
-def test_fast_path_grid_is_byte_identical_to_reference(monkeypatch):
-    """The fast path is invisible across the full 4 × 4 grid.
+@pytest.fixture(scope="module")
+def fast_and_reference_grids():
+    """The full 4 × 4 grid under the fast path and under ``REPRO_EVENT_DRIVEN=0``,
+    computed once and shared by the grid tests below."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
+        fast = _event_grid_dicts(monkeypatch, event_driven=True)
+        reference = _event_grid_dicts(monkeypatch, event_driven=False)
+    shared_trace_cache.clear()
+    return fast, reference
 
-    ``REPRO_EVENT_DRIVEN=0`` swaps both halves of the fast path at once: the event
-    wheel for the cycle-stepping loop and the wake-up IQ for the scan IQ (see
-    ``tests/ooo/test_wakeup_issue_queue.py`` for the queue each mode builds).  Every
-    counter must match exactly — the per-stalled-cycle dispatch statistics the
-    scheduler credits in bulk for skipped spans, and the selection order, issue
-    cycles, functional-unit interactions and squash/replay recovery of the IQ.
+
+def test_event_driven_grid_is_byte_identical_to_cycle_stepping(fast_and_reference_grids):
+    """The cycle-skipping event wheel is invisible across the full 4 × 4 grid.
+
+    Every counter — including the per-stalled-cycle dispatch statistics that the
+    scheduler credits in bulk for skipped spans — must match the cycle-stepping
+    reference loop (``REPRO_EVENT_DRIVEN=0``) exactly.
     """
-    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
-    fast = _event_grid_dicts(monkeypatch, event_driven=True)
-    reference = _event_grid_dicts(monkeypatch, event_driven=False)
+    (fast, fast_modes), (reference, reference_modes) = fast_and_reference_grids
+    assert all(event_driven for event_driven, _ in fast_modes.values())
+    assert not any(event_driven for event_driven, _ in reference_modes.values())
     assert json.dumps(fast, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def test_wakeup_lists_grid_is_byte_identical_to_scan_reference(fast_and_reference_grids):
+    """The dependency-driven wake-up IQ is invisible across the full 4 × 4 grid.
+
+    ``REPRO_EVENT_DRIVEN=0`` also swaps the wake-up IQ for the scan IQ, so the same
+    pair of sweeps compares the two queues: every cell must really have run on the
+    queue its mode names, and selection order, issue cycles, functional-unit
+    interactions, squash/replay recovery and every derived statistic must match.
+    """
+    (fast, fast_modes), (reference, reference_modes) = fast_and_reference_grids
+    assert {iq for _, iq in fast_modes.values()} == {WakeupIssueQueue}
+    assert {iq for _, iq in reference_modes.values()} == {IssueQueue}
+    for key, result in fast.items():
+        assert json.dumps(result, sort_keys=True) == json.dumps(
+            reference[key], sort_keys=True
+        ), f"wake-up IQ diverges from the scan IQ for {key}"
+
+
+def test_wakeup_lists_off_under_cycle_stepping_matches_default(monkeypatch):
+    """The whole reference (scan IQ + stepping loop) agrees with the default fast
+    path on a single cell run outside the shared grid."""
+    monkeypatch.delenv(TRACE_STORE_ENV_VAR, raising=False)
+    cell = CampaignCell(
+        config=named_config("EOLE_4_64"),
+        workload_name="gcc",
+        max_uops=MAX_UOPS,
+        warmup_uops=WARMUP_UOPS,
+    )
+    monkeypatch.delenv(EVENT_DRIVEN_ENV_VAR, raising=False)
+    fast = simulate_cell(cell).to_dict()
+    monkeypatch.setenv(EVENT_DRIVEN_ENV_VAR, "0")
+    reference = simulate_cell(cell).to_dict()
+    assert fast == reference
 
 
 def test_fault_arming_never_perturbs_simulation(monkeypatch):
