@@ -40,10 +40,12 @@ class StageTimedSimulator(Simulator):
     The wrappers add a few hundred nanoseconds per stage call, so the absolute
     run is slower than an uninstrumented one — the split between stages is what
     matters.  Commit-side predictor/BPU training (batched per commit group) is
-    timed separately under ``train`` and subtracted from ``commit``.
+    timed separately under ``train`` and subtracted from ``commit``.  The event
+    wheel's scheduler (``_next_event_cycle`` and ``_skip_dead_cycles``) is timed
+    as ``schedule``; the cycle-stepping reference never calls it.
     """
 
-    STAGES = ("fetch", "dispatch", "issue", "commit", "train", "completions")
+    STAGES = ("fetch", "dispatch", "issue", "commit", "train", "completions", "schedule")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -66,11 +68,12 @@ class StageTimedSimulator(Simulator):
             self.stage_calls["train"] += 1
         self.bpu.train_commit_group = timed_bpu_train
 
-    def _timed(self, stage, inner):
+    def _timed(self, stage, inner, *args):
         started = time.perf_counter()
-        inner()
+        value = inner(*args)
         self.stage_seconds[stage] += time.perf_counter() - started
         self.stage_calls[stage] += 1
+        return value
 
     def _fetch(self):
         self._timed("fetch", super()._fetch)
@@ -96,6 +99,12 @@ class StageTimedSimulator(Simulator):
 
     def _process_completions(self):
         self._timed("completions", super()._process_completions)
+
+    def _next_event_cycle(self):
+        return self._timed("schedule", super()._next_event_cycle)
+
+    def _skip_dead_cycles(self, gap):
+        self._timed("schedule", super()._skip_dead_cycles, gap)
 
     def report(self) -> str:
         lines = ["per-stage cumulative wall clock (instrumented):"]
@@ -156,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stage-times", action="store_true",
         help="print a per-stage cumulative timing breakdown "
-        "(fetch/dispatch/issue/commit/train) instead of a cProfile report",
+        "(fetch/dispatch/issue/commit/train/completions/schedule) instead of a "
+        "cProfile report",
     )
     parser.add_argument(
         "--format", default="text", choices=["text", "json"],

@@ -125,9 +125,6 @@ class TAGEBranchPredictor:
         self.high_confidence_mispredictions = 0
 
     # ------------------------------------------------------------------ indexing
-    def _bimodal_index(self, pc: int) -> int:
-        return _mix(pc) & self._bimodal_mask
-
     def _tagged_index(self, pc: int, history: GlobalHistory, rank: int) -> int:
         folded = history.fold(self.history_lengths[rank], self._tagged_mask.bit_length())
         return (_mix(pc + rank * 0x9E37) ^ folded) & self._tagged_mask
@@ -275,16 +272,6 @@ class TAGEBranchPredictor:
 
         if self._branches_seen % self.useful_reset_period == 0:
             self._age_useful_bits()
-
-    def _prediction_index(self, prediction: TAGEPrediction, rank: int) -> int:
-        """Re-derive the component index the lookup for ``prediction`` used."""
-        if rank == prediction.provider:
-            return prediction.provider_index
-        index_mixes, _, _ = self._pc_mixes(prediction.pc)
-        fold = prediction.folds[rank]
-        if fold is None:  # register was dormant at lookup — re-fold from raw bits
-            fold = fold_bits(prediction.bits, self.history_lengths[rank], self._index_width)
-        return (index_mixes[rank] ^ fold) & self._tagged_mask
 
     def _prediction_tag(self, prediction: TAGEPrediction, rank: int) -> int:
         """Re-derive the component tag the lookup for ``prediction`` used."""

@@ -3,13 +3,12 @@
 The baseline uses a unified, centralised 64-entry IQ (Table 1); entries are released at
 issue.  Selection is age-ordered (oldest ready first), which is the behaviour the
 paper's gem5 baseline models.  Wakeup is modelled by evaluating operand readiness
-against producer completion times (see :meth:`IssueQueue.select`).
+against producer completion times (see :meth:`IssueQueue.select_ready`).
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.ooo.functional_units import FunctionalUnitPool
@@ -28,7 +27,6 @@ class IssueQueue:
         self.capacity = capacity
         self._entries: list[InflightOp] = []
         self.peak_occupancy = 0
-        self.full_stall_events = 0
         #: Optional pipeline event tracer (repro.obs); the simulator attaches it
         #: when ``REPRO_PIPE_TRACE`` is enabled, otherwise every hook site is one
         #: ``is not None`` check.
@@ -84,47 +82,6 @@ class IssueQueue:
         self._entries = kept
 
     # ------------------------------------------------------------------ select
-    def select(
-        self,
-        cycle: int,
-        issue_width: int,
-        fu_pool: FunctionalUnitPool,
-        is_ready: Callable[[InflightOp, int], bool],
-        latency_of: Callable[[InflightOp], int],
-    ) -> list[InflightOp]:
-        """Select up to ``issue_width`` ready µ-ops, oldest first.
-
-        ``is_ready`` decides operand/memory-dependence readiness at ``cycle``;
-        ``latency_of`` supplies the execution latency used to reserve unpipelined units.
-        Selected entries are removed from the queue (entries are released at issue, as
-        in the baseline machine).
-        """
-        if not self._entries or issue_width <= 0:
-            return []
-        selected: list[InflightOp] = []
-        remaining: list[InflightOp] = []
-        # Entries are kept in dispatch order, so a single pass is age-ordered select.
-        for op in self._entries:
-            if len(selected) >= issue_width:
-                remaining.append(op)
-                continue
-            if op.squashed:
-                self._release_waiters(op)
-                continue
-            if not is_ready(op, cycle):
-                remaining.append(op)
-                continue
-            if not fu_pool.try_issue(op.uop.opclass, cycle, latency_of(op)):
-                remaining.append(op)
-                continue
-            op.issued = True
-            op.issue_cycle = cycle
-            op.in_issue_queue = False
-            self._release_waiters(op)
-            selected.append(op)
-        self._entries = remaining
-        return selected
-
     def select_ready(
         self,
         cycle: int,
@@ -132,13 +89,14 @@ class IssueQueue:
         fu_pool: FunctionalUnitPool,
         dispatch_to_issue_latency: int,
     ) -> list[InflightOp]:
-        """The pipeline's hot-path select: :meth:`select` with the simulator's
-        readiness and latency rules inlined.
+        """Select up to ``issue_width`` ready µ-ops, oldest first.
 
-        Semantically identical to calling :meth:`select` with the simulator's
-        ``_is_ready``/``_execution_latency`` callbacks; inlining the per-entry
-        readiness walk (operand wake-up against producer completion times, store-set
-        memory dependences) avoids several function calls per waiting µ-op per cycle.
+        An entry is ready once it is past the dispatch-to-issue latency, every
+        producer's result is available (``avail_cycle`` known and reached) and,
+        for a load, its store-set dependence has issued or been squashed.  A ready
+        entry issues if ``fu_pool`` has a unit for it at ``cycle``.  Selected
+        entries are removed from the queue (entries are released at issue, as in
+        the baseline machine); squashed entries met on the walk are dropped.
         """
         entries = self._entries
         self.next_immature_cycle = None
@@ -153,8 +111,8 @@ class IssueQueue:
         width_left = issue_width
         for position, op in enumerate(entries):
             if width_left == 0:
-                # Width exhausted: the untouched tail (squashed entries included,
-                # matching select()) stays in dispatch order.
+                # Width exhausted: the untouched tail (squashed entries included;
+                # remove_squashed drops them) stays in dispatch order.
                 remaining.extend(entries[position:])
                 break
             if op.squashed:
@@ -222,23 +180,6 @@ class IssueQueue:
             self._entries = remaining
         return selected
 
-    def next_maturity_cycle(self, cycle: int, dispatch_to_issue_latency: int) -> int | None:
-        """Earliest future cycle at which a currently-immature entry matures.
-
-        Reference implementation for :attr:`next_immature_cycle`, which
-        :meth:`select_ready` produces as a byproduct of its walk (entries are in
-        dispatch order, so the first immature entry carries the earliest
-        deadline); the simulator's issue-scan gating re-arms on it when a scan
-        leaves no immediately-issuable work behind.  Returns ``None`` when every
-        entry is already past its dispatch-to-issue latency.
-        """
-        next_cycle: int | None = None
-        for op in self._entries:
-            mature_at = op.dispatch_cycle + dispatch_to_issue_latency
-            if mature_at > cycle and (next_cycle is None or mature_at < next_cycle):
-                next_cycle = mature_at
-        return next_cycle
-
     def __iter__(self):
         return iter(self._entries)
 
@@ -272,9 +213,8 @@ class WakeupIssueQueue(IssueQueue):
 
     Byte-identity with the reference is structural: the ready list reproduces, in
     age order, exactly the set of entries the reference walk would have found
-    ready, so the ``fu_pool.try_issue`` call sequence, the selected µ-ops, the
-    ``iq_waiters`` accounting and the :attr:`next_immature_cycle` byproduct are
-    all identical (``tests/ooo/test_wakeup_issue_queue.py`` drives randomized
+    ready, so the ``fu_pool.try_issue`` call sequence and the selected µ-ops
+    are identical (``tests/ooo/test_wakeup_issue_queue.py`` drives randomized
     dependence graphs with squashes/replays against the reference, and the
     determinism suite compares full-grid simulations).
     """
@@ -406,12 +346,6 @@ class WakeupIssueQueue(IssueQueue):
             self._wake_min = min(buckets) if buckets else _NEVER
 
     # ------------------------------------------------------------------ select
-    def select(self, *args, **kwargs):  # pragma: no cover - guard rail
-        raise NotImplementedError(
-            "WakeupIssueQueue only implements the pipeline's select_ready walk; "
-            "use the reference IssueQueue for callback-driven selection"
-        )
-
     def select_ready(
         self,
         cycle: int,
@@ -491,9 +425,3 @@ class WakeupIssueQueue(IssueQueue):
             self._wake_min = min(buckets) if buckets else _NEVER
         if added:
             ready.sort()
-
-    def next_maturity_cycle(self, cycle: int, dispatch_to_issue_latency: int) -> int | None:  # pragma: no cover - guard rail
-        raise NotImplementedError(
-            "the wake-up IQ schedules by exact wheel deadlines (_wake_min), not "
-            "maturity walks; use the reference IssueQueue for this API"
-        )

@@ -19,8 +19,9 @@ Each simulated cycle processes, in order:
 5. **fetch** — up to ``fetch_width`` µ-ops enter the front-end, consulting the branch
    predictor and the value predictor.
 
-The main loop is **event-driven**: after each simulated cycle the scheduler computes
-the earliest future cycle at which *any* stage could make progress or mutate state (a
+Every stage exists once, and :meth:`Simulator._step` runs one cycle of them.  The
+main loop is **event-driven**: after each stepped cycle the scheduler computes the
+earliest future cycle at which *any* stage could make progress or mutate state (a
 completion firing, the ROB head's minimum commit cycle, the issue scan's re-arm cycle,
 the front-end head's dispatch-maturity deadline, the fetch resume point) and jumps
 ``cycle`` directly there, crediting the skipped span in bulk to the per-cycle counters
@@ -29,7 +30,14 @@ front-end is blocked on a full ROB/LSQ/PRF bank).  The result is byte-identical 
 stepping every cycle — ``REPRO_EVENT_DRIVEN=0`` selects the reference oracle (the
 cycle-stepping loop over the scan-based issue queue), and
 ``tests/trace/test_simulation_determinism.py`` compares the two across a
-configuration × workload grid.
+configuration × workload grid.  The two modes differ only in the loop and the issue
+stage; fetch, dispatch and commit are shared, so ``tests/pipeline/test_golden_results.py``
+checks both against committed result digests.
+
+The one stage kept in two forms is commit: :meth:`Simulator._commit` inlines the
+per-µ-op :meth:`Simulator._retire` / :meth:`Simulator._validate_and_train` oracle and
+batches predictor training per commit group, and
+``tests/pipeline/test_commit_reference.py`` checks it against that oracle.
 
 See DESIGN.md §5 for the modelling assumptions (wrong-path effects, speculative
 scheduling) and their justification, and docs/performance.md for the event-wheel
@@ -40,7 +48,6 @@ from __future__ import annotations
 
 import gc
 import os
-from bisect import insort
 from collections import deque
 from collections.abc import Iterable, Iterator
 
@@ -53,7 +60,6 @@ from repro.core.late_execution import LateExecutionBlock
 from repro.errors import SimulationError
 from repro.isa.emulator import ArchState, Emulator
 from repro.isa.flags import approximate_flags, flags_match_for_validation
-from repro.isa.opcode import OpClass
 from repro.isa.program import Program
 from repro.isa.trace import DynInst
 from repro.mem.hierarchy import MemoryHierarchy
@@ -147,11 +153,11 @@ class Simulator:
         # the IQ maintains an age-ordered ready list, so wake-up is O(woken) and
         # select O(ready) instead of O(occupancy) walks.  ``REPRO_EVENT_DRIVEN=0``
         # selects the byte-identical reference: cycle stepping over the scan-based
-        # IssueQueue.  Each loop calls its own issue stage directly (the event
-        # loop ``_issue_wakeup``, ``_step`` ``_issue_scan``), so no stage branches
-        # on the mode per call.  (Binding the stage as an instance attribute would
-        # make the simulator reference itself and outlive ``run()`` until the
-        # cyclic collector finds it.)
+        # IssueQueue.  Both loops run the same ``_step``, which picks the issue
+        # stage from ``_event_driven`` (``_issue_wakeup`` or ``_issue_scan``).
+        # (Binding the stage as an instance attribute would make the simulator
+        # reference itself and outlive ``run()`` until the cyclic collector
+        # finds it.)
         self._event_driven = event_driven_enabled()
         if self._event_driven:
             self.iq = WakeupIssueQueue(config.iq_size, config.dispatch_to_issue_latency)
@@ -286,124 +292,24 @@ class Simulator:
         structural stall, one stall counter) — every candidate source in
         :meth:`_next_event_cycle` is conservative, so any cycle that could mutate
         other state is stepped normally.
-
-        This loop is the fused fast path: the per-cycle stage guards of
-        :meth:`_step`, the event-candidate computation of
-        :meth:`_next_event_cycle` and the bulk crediting of
-        :meth:`_skip_dead_cycles` are inlined into one body with the stable
-        pipeline structures hoisted into locals, so the common stepped cycle pays
-        no per-stage method indirection beyond the stages that actually run.
-        Those three methods remain the cycle-stepping reference implementation
-        (``REPRO_EVENT_DRIVEN=0``), and the determinism suite compares the two.
         """
-        stats = self.stats
-        completions = self._completions
-        frontend = self._frontend
-        replay = self._replay
-        rob_entries = self.rob._entries
-        commit_extra = self._commit_extra
-        frontend_capacity = self.config.frontend_capacity
-        never = self._NEVER
-        process_completions = self._process_completions
-        commit = self._commit
-        issue = self._issue_wakeup
-        dispatch = self._dispatch
-        fetch = self._fetch
         while not self._finished:
-            # ---- one stepped cycle (the _step reference, guards inlined) ----
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            stats.cycles += 1
-            if completions and cycle in completions:
-                process_completions()
-            if not self._finished:
-                if rob_entries:
-                    head = rob_entries[0]
-                    if head.executed and cycle >= head.complete_cycle + commit_extra:
-                        commit()
-                if not self._finished:
-                    if cycle >= self._iq_scan_from:
-                        issue()
-                    if frontend and frontend[0].dispatch_ready_cycle <= cycle:
-                        dispatch()
-                    else:
-                        self._previous_dispatch_group = []
-                        self._dispatch_stall_reason = None
-                    if (
-                        self._fetch_blocked_on is None
-                        and cycle >= self._fetch_resume_cycle
-                        and len(frontend) < frontend_capacity
-                    ):
-                        fetch()
-                    if (
-                        self._trace_exhausted
-                        and not replay
-                        and not frontend
-                        and not rob_entries
-                    ):
-                        self._finished = True
-            if cycle > deadlock_limit:
+            self._step()
+            if self.cycle > deadlock_limit:
                 self._raise_deadlock(deadlock_limit)
             if self._finished:
                 break
-            # ---- event scheduling (the _next_event_cycle reference, inlined) ----
-            # Fast path: when dispatch or fetch is guaranteed to act next cycle,
-            # the minimum candidate is cycle + 1 and the gap is zero — skip the
-            # full candidate scan (identical behaviour, nothing to credit).
-            if frontend:
-                if (
-                    frontend[0].dispatch_ready_cycle <= cycle
-                    and self._dispatch_stall_reason is None
-                ):
-                    continue
-            elif (
-                self._fetch_blocked_on is None
-                and self._fetch_resume_cycle <= cycle
-                and (replay or not self._trace_exhausted)
-            ):
-                continue
-            nxt = never
-            if completions:
-                nxt = min(completions)
-            if rob_entries:
-                head = rob_entries[0]
-                if head.executed:
-                    ready = head.complete_cycle + commit_extra
-                    candidate = ready if ready > cycle else cycle + 1
-                    if candidate < nxt:
-                        nxt = candidate
-            scan = self._iq_scan_from
-            if scan != never:
-                candidate = scan if scan > cycle else cycle + 1
-                if candidate < nxt:
-                    nxt = candidate
-            if frontend:
-                ready = frontend[0].dispatch_ready_cycle
-                if ready > cycle:
-                    if ready < nxt:
-                        nxt = ready
-                elif self._dispatch_stall_reason is None:
-                    if cycle + 1 < nxt:
-                        nxt = cycle + 1
-            if (
-                self._fetch_blocked_on is None
-                and (replay or not self._trace_exhausted)
-                and len(frontend) < frontend_capacity
-            ):
-                resume = self._fetch_resume_cycle
-                candidate = resume if resume > cycle else cycle + 1
-                if candidate < nxt:
-                    nxt = candidate
+            nxt = self._next_event_cycle()
             if nxt > deadlock_limit + 1:
                 # No event before the deadlock horizon: step once at the horizon so
                 # the reference loop's failure mode (and cycle accounting) is kept.
                 nxt = deadlock_limit + 1
-            gap = nxt - cycle - 1
+            gap = nxt - self.cycle - 1
             if gap > 0:
                 self._skip_dead_cycles(gap)
 
     #: Sentinel for "no known future event" (also used by the issue-scan gating).
-    # Shared with the wake-up IQ's wheel sentinel: the fused issue path copies
+    # Shared with the wake-up IQ's wheel sentinel: the wake-up issue stage copies
     # ``iq._wake_min`` straight into ``_iq_scan_from``, so the two "no known
     # future cycle" values must be the same object of comparison.
     _NEVER = _SHARED_NEVER
@@ -428,37 +334,43 @@ class Simulator:
         * **fetch** — the fetch resume point, whenever fetch is unblocked, the trace
           has µ-ops left and the front-end has room (fetch otherwise resumes only as
           a consequence of one of the other events).
+
+        Every candidate is at least ``cycle + 1``, so when dispatch or fetch is
+        certain to act next cycle the scan over the others is skipped.
         """
         cycle = self.cycle
+        frontend = self._frontend
+        fetch_open = self._fetch_blocked_on is None and (
+            self._replay or not self._trace_exhausted
+        )
+        if frontend:
+            ready = frontend[0].dispatch_ready_cycle
+            if ready <= cycle and self._dispatch_stall_reason is None:
+                return cycle + 1
+        elif fetch_open and self._fetch_resume_cycle <= cycle:
+            return cycle + 1
         nxt = self._NEVER
         completions = self._completions
         if completions:
             nxt = min(completions)
-        head = self.rob.head()
-        if head is not None and head.executed:
-            ready = head.complete_cycle + self._commit_extra
-            candidate = ready if ready > cycle else cycle + 1
-            if candidate < nxt:
-                nxt = candidate
+        rob_entries = self.rob._entries
+        if rob_entries:
+            head = rob_entries[0]
+            if head.executed:
+                ready = head.complete_cycle + self._commit_extra
+                candidate = ready if ready > cycle else cycle + 1
+                if candidate < nxt:
+                    nxt = candidate
         scan = self._iq_scan_from
         if scan != self._NEVER:
             candidate = scan if scan > cycle else cycle + 1
             if candidate < nxt:
                 nxt = candidate
-        frontend = self._frontend
         if frontend:
             ready = frontend[0].dispatch_ready_cycle
-            if ready > cycle:
-                if ready < nxt:
-                    nxt = ready
-            elif self._dispatch_stall_reason is None:
-                if cycle + 1 < nxt:
-                    nxt = cycle + 1
-        if (
-            self._fetch_blocked_on is None
-            and (self._replay or not self._trace_exhausted)
-            and len(frontend) < self.config.frontend_capacity
-        ):
+            if ready > cycle and ready < nxt:
+                nxt = ready
+        if fetch_open and len(frontend) < self.config.frontend_capacity:
             resume = self._fetch_resume_cycle
             candidate = resume if resume > cycle else cycle + 1
             if candidate < nxt:
@@ -480,8 +392,8 @@ class Simulator:
         self._previous_dispatch_group = []
         reason = self._dispatch_stall_reason
         if reason is not None:
-            # Mirrors _count_dispatch_stall (the per-cycle reference), credited gap
-            # cycles at once.
+            # The per-cycle stall count :meth:`_dispatch` would have made on each
+            # skipped cycle, credited gap cycles at once.
             if reason == "rob":
                 self.stats.rob_full_stalls += gap
             elif reason == "lsq":
@@ -517,7 +429,10 @@ class Simulator:
                 if self._finished:
                     return
         if cycle >= self._iq_scan_from:
-            self._issue_scan()
+            if self._event_driven:
+                self._issue_wakeup()
+            else:
+                self._issue_scan()
         frontend = self._frontend
         if frontend and frontend[0].dispatch_ready_cycle <= cycle:
             self._dispatch()
@@ -582,10 +497,6 @@ class Simulator:
         )
 
     # ================================================================== commit / LE-VT
-    def _minimum_commit_cycle(self, op: InflightOp) -> int:
-        extra = 1 if self.config.has_levt_stage else 0
-        return op.complete_cycle + self.config.writeback_to_commit_latency + extra
-
     def _commit(self) -> None:
         """In-order retirement of up to ``commit_width`` µ-ops (the LE/VT stage).
 
@@ -853,36 +764,11 @@ class Simulator:
         return True
 
     # ================================================================== issue / execute
-    def _operand_ready(self, op: InflightOp, cycle: int) -> bool:
-        for producer in op.producers:
-            if producer is None:
-                continue
-            available = producer.avail_cycle
-            if available == UNKNOWN_CYCLE or available > cycle:
-                return False
-        return True
-
-    def _is_ready(self, op: InflightOp, cycle: int) -> bool:
-        if cycle < op.dispatch_cycle + self.config.dispatch_to_issue_latency:
-            return False
-        if not self._operand_ready(op, cycle):
-            return False
-        if op.uop.is_load:
-            dependence = op.mem_dependence
-            if dependence is not None and not dependence.squashed and not dependence.issued:
-                return False
-        return True
-
-    def _execution_latency(self, op: InflightOp) -> int:
-        return op.uop.latency
-
     def _issue_scan(self) -> None:
         """The reference issue stage: an age-ordered walk of the scan IQ."""
         cycle = self.cycle
         if cycle < self._iq_scan_from:
             return
-        # ``select_ready`` inlines the ``_is_ready``/``_execution_latency`` rules
-        # above (kept as the reference implementation) into the IQ walk.
         fu_pool = self.fu_pool
         rejects_before = fu_pool.structural_rejects
         issue_width = self.config.issue_width
@@ -929,90 +815,28 @@ class Simulator:
             self._iq_scan_from = mature_at if mature_at is not None else self._NEVER
 
     def _issue_wakeup(self) -> None:
-        """:meth:`_issue_scan` fused with :meth:`WakeupIssueQueue.select_ready`.
+        """The fast issue stage: select over the wake-up IQ's maintained ready list.
 
-        The reference scan with the wake-up IQ's maintained ready list
-        substituted for the queue walk: the ready set at any scanned cycle — and
-        hence the age-ordered selection and every issue cycle — is identical to
-        the reference walk's.  Scan scheduling, however, uses the IQ's *exact*
-        deadlines rather than the reference's conservative re-arm heuristics:
-        ``_iq_scan_from`` becomes ``cycle + 1`` while ready entries remain
-        (functional-unit rejects or width exhaustion, exactly when the reference
-        rescans) and the earliest wheel deadline otherwise.  Any scan skipped
-        relative to the reference is one with an empty ready list, which walks
-        nothing, selects nothing and mutates nothing — observably a no-op.
+        The ready set at any scanned cycle — and hence the age-ordered selection
+        and every issue cycle — is identical to the reference walk's.  Scan
+        scheduling, however, uses the IQ's *exact* deadlines rather than the
+        reference's conservative re-arm heuristics: ``_iq_scan_from`` becomes
+        ``cycle + 1`` while ready entries remain (functional-unit rejects or width
+        exhaustion, exactly when the reference rescans) and the earliest wheel
+        deadline otherwise.  Any scan skipped relative to the reference is one
+        with an empty ready list, which walks nothing, selects nothing and mutates
+        nothing — observably a no-op.
         """
         cycle = self.cycle
         if cycle < self._iq_scan_from:
             return
         iq = self.iq
-        ready = iq._ready
-        tracer = self.tracer
-        if iq._wake_min <= cycle:
-            # Inlined WakeupIssueQueue._surface_ripe (kept as the reference).
-            buckets = iq._wake_buckets
-            added = False
-            while buckets:
-                key = iq._wake_min
-                if key > cycle:
-                    break
-                for op, gen in buckets.pop(key):
-                    if op.wake_gen == gen and not op.squashed:
-                        ready.append((op.seq, op))
-                        added = True
-                        if tracer is not None:
-                            tracer.emit(cycle, "wakeup", op, "wheel")
-                iq._wake_min = min(buckets) if buckets else self._NEVER
-            if added:
-                ready.sort()
-        if ready:
-            fu_pool = self.fu_pool
-            try_issue = fu_pool.try_issue
-            members = iq._members
-            width_left = self.config.issue_width
-            selected: list[InflightOp] = []
-            selected_append = selected.append
-            index = 0
-            while index < len(ready) and width_left:
-                seq, op = ready[index]
-                uop = op.uop
-                if not try_issue(uop.opclass, cycle, uop.latency):
-                    index += 1
-                    continue
-                del ready[index]
-                del members[seq]
-                op.issued = True
-                op.issue_cycle = cycle
-                op.in_issue_queue = False
-                selected_append(op)
-                width_left -= 1
-                if uop.is_store:
-                    waiters = op.mem_waiters
-                    if waiters:
-                        # Store-set release: dependent loads (younger, hence later
-                        # in age order) join this very pass, exactly like the
-                        # reference walk observing ``dependence.issued`` mid-scan.
-                        op.mem_waiters = None
-                        for waiter, gen in waiters:
-                            if waiter.wake_gen != gen or waiter.squashed:
-                                continue
-                            waiter.mem_blocked = False
-                            if waiter.unknown_producers:
-                                continue
-                            ready_at = iq._ready_cycle(waiter)
-                            if ready_at <= cycle:
-                                insort(ready, (waiter.seq, waiter))
-                                if tracer is not None:
-                                    tracer.emit(cycle, "wakeup", waiter, "store_release")
-                            else:
-                                iq._park(waiter, gen, ready_at)
-            start_execution = self._start_execution
-            for op in selected:
-                start_execution(op)
+        for op in iq.select_ready(cycle, self.config.issue_width, self.fu_pool, self._d2i):
+            self._start_execution(op)
         # Exact re-arm: leftovers retry next cycle, otherwise the next entry to
         # become ready is the earliest wheel deadline (parks performed by the
         # selection and its _start_execution wake-ups are already reflected).
-        self._iq_scan_from = cycle + 1 if ready else iq._wake_min
+        self._iq_scan_from = cycle + 1 if iq._ready else iq._wake_min
 
     def _start_execution(self, op: InflightOp) -> None:
         uop = op.uop
@@ -1038,33 +862,11 @@ class Simulator:
             op.avail_cycle = complete
             consumers = op.wake_consumers
             if consumers is not None:
-                # Wake-up lists: O(consumers) resolution of the now-known
-                # availability (registrations only exist in wake-up mode;
-                # WakeupIssueQueue.producer_available inlined).
-                op.wake_consumers = None
+                # Wake-up lists (registrations only exist in wake-up mode):
+                # O(consumers) resolution of the now-known availability.
                 if self._m_wakeup_depth is not None:
                     self._m_wakeup_depth.record(len(consumers))
-                iq = self.iq
-                d2i = self._d2i
-                buckets = iq._wake_buckets
-                for consumer, gen in consumers:
-                    if consumer.wake_gen != gen or consumer.squashed:
-                        continue
-                    remaining = consumer.unknown_producers - 1
-                    consumer.unknown_producers = remaining
-                    if remaining or consumer.mem_blocked:
-                        continue
-                    ready_at = consumer.dispatch_cycle + d2i
-                    for producer in consumer.producers:
-                        if producer is not None and producer.avail_cycle > ready_at:
-                            ready_at = producer.avail_cycle
-                    bucket = buckets.get(ready_at)
-                    if bucket is None:
-                        buckets[ready_at] = [(consumer, gen)]
-                        if ready_at < iq._wake_min:
-                            iq._wake_min = ready_at
-                    else:
-                        bucket.append((consumer, gen))
+                self.iq.producer_available(op)
         if uop.is_store or self._wheel_all or op is self._fetch_blocked_on:
             op.in_completion_wheel = True
             completions = self._completions
@@ -1083,22 +885,17 @@ class Simulator:
 
     # ================================================================== rename / dispatch
     def _dispatch(self) -> None:
-        """Rename/dispatch up to ``rename_width`` front-end µ-ops.
+        """Rename/dispatch up to ``rename_width`` front-end µ-ops, in two phases.
 
-        Fused fast path for machines without Early Execution: rename (phase A/B)
-        and classification/IQ insertion (phase D/E) run in one loop per µ-op, so
-        every per-µ-op attribute is read once.  EE machines need the phase C
-        barrier (the EE planner sees the whole rename group at once) and keep the
-        two-phase reference, :meth:`_dispatch_eole`.  The one asymmetric case is
-        an IQ-full rollback: the reference renames the *whole* group before
-        discovering the full IQ, so the fused loop falls into
-        :meth:`_dispatch_overshoot` to replicate that overshoot exactly (it is
-        observable through ROB/LSQ peak-occupancy statistics and the PRF
-        round-robin allocation pointer, which rollback does not rewind).
+        Phase A/B renames the whole group and allocates its ROB/LSQ/PRF entries;
+        phase C plans Early Execution over the whole group at once (the EE block
+        sees the rename group as a unit, in parallel with rename); phase D/E
+        classifies for Late Execution and inserts into the IQ.  A full IQ is only
+        discovered in phase D/E, so the µ-ops from the denied one on are rolled
+        back to the front-end after they were renamed: that overshoot stays
+        visible in the ROB/LSQ peak occupancies and the PRF round-robin
+        allocation pointer, which the rollback does not rewind.
         """
-        if self._ee_enabled:
-            self._dispatch_eole()
-            return
         cycle = self.cycle
         frontend = self._frontend
         self._dispatch_stall_reason = None
@@ -1108,290 +905,14 @@ class Simulator:
         config = self.config
         rename_width = config.rename_width
         multi_bank = self._multi_bank
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        rob_entries = rob._entries
-        rob_capacity = rob.capacity
-        lsq_loads = lsq._loads
-        lsq_stores = lsq._stores
-        lq_capacity = lsq.lq_capacity
-        sq_capacity = lsq.sq_capacity
-        prf_allocated = prf._allocated
-        late_enabled = self._late_enabled
-        late_block = self.late_block
-        iq = self.iq
-        wakeup = self._event_driven
-        iq_level = iq._members if wakeup else iq._entries
-        iq_capacity = iq.capacity
-        store_sets = self.store_sets
-        nop_class = OpClass.NOP
-        d2i = self._d2i
-        scan_wake = cycle + d2i
-        maturity = scan_wake
-        wake_buckets = iq._wake_buckets if wakeup else None
-        unknown_cycle = UNKNOWN_CYCLE
-        tracer = self.tracer
-        group: list[InflightOp] = []
-        overshot = False
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            if op.dispatch_ready_cycle > cycle:
-                break
-            uop = op.uop
-            kind = uop.hot_mask
-            # Structural space checks (identical to the two-phase reference).
-            if len(rob_entries) >= rob_capacity:
-                stats.rob_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "rob"
-                break
-            if kind & 16 and (  # memory
-                len(lsq_loads) >= lq_capacity
-                if kind & 4
-                else len(lsq_stores) >= sq_capacity
-            ):
-                stats.lsq_full_stalls += 1
-                if not group:
-                    self._dispatch_stall_reason = "lsq"
-                break
-            if kind & 64 and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                if not group:
-                    self._dispatch_stall_reason = "prf"
-                break
-            frontend.popleft()
-            # Rename (unrolled for the dominant 0/1/2-source shapes).
-            sources = uop.src_regs
-            if not sources:
-                producers: tuple[InflightOp | None, ...] = ()
-            elif len(sources) == 1:
-                producers = (rename_map.get(sources[0]),)
-            elif len(sources) == 2:
-                reg_a, reg_b = sources
-                producers = (rename_map.get(reg_a), rename_map.get(reg_b))
-            else:
-                producers = tuple(rename_map.get(reg) for reg in sources)
-            op.producers = producers
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
-            group.append(op)
-            rob_entries.append(op)
-            if kind & 4:  # load
-                lsq_loads.append(op)
-            elif kind & 8:  # store
-                lsq_stores.append(op)
-            if multi_bank:
-                if kind & 64:
-                    op.dest_bank = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif kind & 64:
-                prf_allocated[0] += 1
-            op.dispatch_cycle = cycle
-
-            # Classification + IQ insertion (phase D/E, EE impossible here).
-            pred_used = op.pred_used
-            if late_enabled and (pred_used or kind & 2):
-                late_block.classify(op)
-            if pred_used:
-                op.avail_cycle = cycle
-                if kind & 64 and not prf.try_ee_write(op.dest_bank, cycle):
-                    stats.ee_write_port_stalls += 1
-            if op.late_executed or kind & 256:
-                op.complete_cycle = cycle
-                op.executed = True
-                if kind & 4:
-                    op.mem_dependence = store_sets.dependence_for_load(op)
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "nop" if kind & 256 else "late")
-                    tracer.emit(cycle, "complete", op, "bypass")
-            else:
-                if len(iq_level) >= iq_capacity:
-                    stats.iq_full_stalls += 1
-                    self._record_dispatch_peaks()
-                    group = self._dispatch_overshoot(group)
-                    overshot = True
-                    break
-                dependence = None
-                if kind & 4:
-                    dependence = store_sets.dependence_for_load(op)
-                    op.mem_dependence = dependence
-                elif kind & 8:
-                    store_sets.register_store(op)
-                if wakeup:
-                    # Inlined WakeupIssueQueue.insert (kept as the reference).
-                    op.in_issue_queue = True
-                    iq_level[op.seq] = op
-                    gen = op.wake_gen
-                    unknown = 0
-                    ready_at = maturity
-                    for producer in producers:
-                        if producer is None:
-                            continue
-                        avail = producer.avail_cycle
-                        if avail == unknown_cycle:
-                            unknown += 1
-                            consumers = producer.wake_consumers
-                            if consumers is None:
-                                producer.wake_consumers = [(op, gen)]
-                            else:
-                                consumers.append((op, gen))
-                        elif avail > ready_at:
-                            ready_at = avail
-                    op.unknown_producers = unknown
-                    if dependence is not None:
-                        op.mem_blocked = True
-                        waiters = dependence.mem_waiters
-                        if waiters is None:
-                            dependence.mem_waiters = [(op, gen)]
-                        else:
-                            waiters.append((op, gen))
-                    else:
-                        op.mem_blocked = False
-                        if not unknown:
-                            bucket = wake_buckets.get(ready_at)
-                            if bucket is None:
-                                wake_buckets[ready_at] = [(op, gen)]
-                                if ready_at < iq._wake_min:
-                                    iq._wake_min = ready_at
-                            else:
-                                bucket.append((op, gen))
-                else:
-                    op.in_issue_queue = True
-                    op.wait_until = 0
-                    iq_level.append(op)
-                    for producer in producers:
-                        if producer is not None:
-                            producer.iq_waiters += 1
-                    if scan_wake < self._iq_scan_from:
-                        self._iq_scan_from = scan_wake
-                stats.dispatched_to_iq += 1
-                if tracer is not None:
-                    tracer.emit(cycle, "dispatch", op, "iq")
-
-        if not overshot:
-            # Peak statistics, deferred out of the per-µ-op loop: within one
-            # dispatch call these structures only grow, so the end-of-loop
-            # occupancy is the cycle's maximum (identical values to per-append
-            # updates; the overshoot path records them before rolling back).
-            self._record_dispatch_peaks()
-        if wakeup:
-            # One exact re-arm per dispatch group: freshly parked entries carry
-            # their precise readiness deadline on the wheel.
-            wake_min = iq._wake_min
-            if wake_min < self._iq_scan_from:
-                self._iq_scan_from = wake_min
-        if group and not overshot:
-            self._last_dispatched_seq = group[-1].seq
-        self._previous_dispatch_group = group
-
-    def _record_dispatch_peaks(self) -> None:
-        """Fold the current ROB/LSQ/IQ occupancies into their peak statistics."""
-        rob = self.rob
-        occupancy = len(rob._entries)
-        if occupancy > rob.peak_occupancy:
-            rob.peak_occupancy = occupancy
-        lsq = self.lsq
-        occupancy = len(lsq._loads)
-        if occupancy > lsq.peak_lq_occupancy:
-            lsq.peak_lq_occupancy = occupancy
-        occupancy = len(lsq._stores)
-        if occupancy > lsq.peak_sq_occupancy:
-            lsq.peak_sq_occupancy = occupancy
-        iq = self.iq
-        occupancy = len(iq._members) if self._event_driven else len(iq._entries)
-        if occupancy > iq.peak_occupancy:
-            iq.peak_occupancy = occupancy
-        if self._m_iq_occupancy is not None:
-            self._m_iq_occupancy.record(occupancy)
-
-    def _dispatch_overshoot(self, group: list[InflightOp]) -> list[InflightOp]:
-        """Replicate the reference's rename overshoot when the IQ fills mid-group.
-
-        The two-phase reference renames the whole group (phase A/B) before phase
-        D/E discovers the full IQ at ``group[-1]``; the extra renames bump
-        ROB/LSQ peak-occupancy statistics and advance the PRF round-robin
-        pointer before the rollback returns every op from the IQ-denied one on
-        to the front-end.  This continues phase A/B from where the fused loop
-        stopped — structural stall counters included — then performs the same
-        rollback, returning the surviving (truncated) group.
-        """
-        cycle = self.cycle
-        config = self.config
-        frontend = self._frontend
-        rename_width = config.rename_width
-        multi_bank = self._multi_bank
-        rename_map = self._rename_map
-        rob = self.rob
-        lsq = self.lsq
-        prf = self.prf
-        stats = self.stats
-        first_undispatched = len(group) - 1
-        while len(group) < rename_width and frontend:
-            op = frontend[0]
-            if op.dispatch_ready_cycle > cycle:
-                break
-            uop = op.uop
-            if not rob.has_space():
-                stats.rob_full_stalls += 1
-                break
-            if uop.is_memory and not lsq.has_space(op):
-                stats.lsq_full_stalls += 1
-                break
-            if uop.dst is not None and multi_bank and not prf.can_allocate():
-                stats.prf_bank_stalls += 1
-                prf.record_bank_full_stall()
-                break
-            frontend.popleft()
-            sources = uop.src_regs
-            op.producers = tuple(rename_map.get(reg) for reg in sources)
-            for dst in uop.dst_regs:
-                rename_map[dst] = op
-            group.append(op)
-            rob.push_renamed(op)
-            if uop.is_memory:
-                lsq.insert(op)
-            if multi_bank:
-                if uop.dst is not None:
-                    op.dest_bank = prf.next_bank()
-                    prf.allocate()
-                else:
-                    prf.advance_without_allocation()
-            elif uop.dst is not None:
-                prf._allocated[0] += 1
-            op.dispatch_cycle = cycle
-        # The reference records the dispatch high-water mark over the *renamed*
-        # group, overshoot included (rollback does not lower it).
-        self._last_dispatched_seq = group[-1].seq
-        self._rollback_undispatched(group, first_undispatched)
-        return group[:first_undispatched]
-
-    def _dispatch_eole(self) -> None:
-        """Two-phase rename/dispatch (the reference; EE needs the group barrier)."""
-        cycle = self.cycle
-        frontend = self._frontend
-        self._dispatch_stall_reason = None
-        if not frontend or frontend[0].dispatch_ready_cycle > cycle:
-            self._previous_dispatch_group = []
-            return
-        config = self.config
-        rename_width = config.rename_width
-        multi_bank = config.prf_banks > 1
         rename_map = self._rename_map
         rob = self.rob
         lsq = self.lsq
         prf = self.prf
         stats = self.stats
         # Hot-path views of the structural resources (the methods on ReorderBuffer /
-        # LoadStoreQueue / BankedRegisterFile remain the reference implementations;
-        # phase A/B runs once per dispatched µ-op and inlines them).
+        # LoadStoreQueue / BankedRegisterFile hold the same rules; phase A/B runs
+        # once per dispatched µ-op and reads the containers directly).
         rob_entries = rob._entries
         rob_capacity = rob.capacity
         lsq_loads = lsq._loads
@@ -1410,8 +931,7 @@ class Simulator:
                 break
             uop = op.uop
             kind = uop.hot_mask
-            # Structural space checks (see _structural_space_for_op, kept as the
-            # reference implementation).  A stall hit before *any* progress parks
+            # Structural space checks.  A stall hit before *any* progress parks
             # the stage: the identical check fails every cycle (one stall counted
             # per cycle) until another stage's event frees the resource, which the
             # event scheduler exploits by crediting skipped spans in bulk.
@@ -1488,22 +1008,22 @@ class Simulator:
         self._last_dispatched_seq = group[-1].seq
 
         # Phase C: Early Execution planning (in parallel with rename).
-        if config.eole.early.enabled:
+        if self._ee_enabled:
             self.early_block.plan(group, self._previous_dispatch_group)
 
         # Phase D/E: Late-Execution classification, IQ insertion and port accounting.
         # The store-set hookup runs *before* the IQ insertion (the wake-up insert
-        # reads ``mem_dependence``); relative to the reference order this swaps two
-        # operations on disjoint state within one µ-op, and the capacity check still
-        # precedes both, so a µ-op denied an IQ slot never touches the LFST.
-        late_enabled = config.eole.late.enabled
+        # reads ``mem_dependence``); the capacity check precedes both, so a µ-op
+        # denied an IQ slot never touches the LFST.
+        late_enabled = self._late_enabled
         late_block = self.late_block
         iq = self.iq
+        iq_insert = iq.insert
         wakeup = self._event_driven
         iq_level = iq._members if wakeup else iq._entries
         iq_capacity = iq.capacity
+        scan_wake = cycle + self._d2i
         store_sets = self.store_sets
-        nop_class = OpClass.NOP
         tracer = self.tracer
         for op in group:
             uop = op.uop
@@ -1523,7 +1043,7 @@ class Simulator:
                     stats.ee_write_port_stalls += 1
             if op.early_executed or op.late_executed or kind & 256:
                 # Bypasses the OoO engine entirely (or needs no execution at all).
-                op.complete_cycle = op.dispatch_cycle
+                op.complete_cycle = cycle
                 op.executed = True
                 if kind & 4:
                     op.mem_dependence = store_sets.dependence_for_load(op)
@@ -1540,57 +1060,31 @@ class Simulator:
             else:
                 if len(iq_level) >= iq_capacity:
                     stats.iq_full_stalls += 1
-                    self._rollback_undispatched(group, group.index(op))
-                    group = group[: group.index(op)]
+                    first_undispatched = group.index(op)
+                    self._rollback_undispatched(group, first_undispatched)
+                    group = group[:first_undispatched]
                     break
                 if kind & 4:
                     op.mem_dependence = store_sets.dependence_for_load(op)
                 elif kind & 8:
                     store_sets.register_store(op)
-                if wakeup:
-                    iq.insert(op)
-                else:
-                    op.in_issue_queue = True
-                    op.wait_until = 0
-                    iq_level.append(op)
-                    if len(iq_level) > iq.peak_occupancy:
-                        iq.peak_occupancy = len(iq_level)
-                    for producer in op.producers:
-                        if producer is not None:
-                            producer.iq_waiters += 1
-                    wake = cycle + config.dispatch_to_issue_latency
-                    if wake < self._iq_scan_from:
-                        self._iq_scan_from = wake
+                iq_insert(op)
                 stats.dispatched_to_iq += 1
                 if tracer is not None:
                     tracer.emit(cycle, "dispatch", op, "iq")
+                if not wakeup and scan_wake < self._iq_scan_from:
+                    # The scan IQ re-arms on the new entry's maturity deadline.
+                    self._iq_scan_from = scan_wake
 
         if self._m_iq_occupancy is not None:
             self._m_iq_occupancy.record(len(iq_level))
         if wakeup:
-            # One exact re-arm per dispatch group (see _dispatch).
+            # One exact re-arm per dispatch group: freshly parked entries carry
+            # their precise readiness deadline on the wheel.
             wake_min = iq._wake_min
             if wake_min < self._iq_scan_from:
                 self._iq_scan_from = wake_min
         self._previous_dispatch_group = group
-
-    def _structural_space_for_op(self, op: InflightOp) -> str | None:
-        if not self.rob.has_space():
-            return "rob"
-        if op.uop.is_memory and not self.lsq.has_space(op):
-            return "lsq"
-        if op.uop.dst is not None and self.config.prf_banks > 1 and not self.prf.can_allocate():
-            return "prf"
-        return None
-
-    def _count_dispatch_stall(self, reason: str) -> None:
-        if reason == "rob":
-            self.stats.rob_full_stalls += 1
-        elif reason == "lsq":
-            self.stats.lsq_full_stalls += 1
-        elif reason == "prf":
-            self.stats.prf_bank_stalls += 1
-            self.prf.record_bank_full_stall()
 
     def _rollback_undispatched(self, group: list[InflightOp], first_undispatched: int) -> None:
         """Return µ-ops that could not get an IQ slot to the front-end, youngest first."""
@@ -1622,47 +1116,14 @@ class Simulator:
                 self._rename_map[dst] = op
 
     # ================================================================== fetch
-    def _next_dyninst(self) -> DynInst | None:
-        if self._replay:
-            return self._replay.popleft()
-        if self._trace_exhausted:
-            return None
-        trace_list = self._trace_list
-        if trace_list is not None:
-            pos = self._trace_pos
-            if pos >= len(trace_list):
-                self._trace_exhausted = True
-                return None
-            self._trace_pos = pos + 1
-            return trace_list[pos]
-        try:
-            return next(self._trace)
-        except StopIteration:
-            self._trace_exhausted = True
-            return None
-
-    def _push_back_dyninst(self, dyn: DynInst) -> None:
-        self._replay.appendleft(dyn)
-
     def _fetch(self) -> None:
         config = self.config
         # Recycle retired records whose barrier has drained — fetch is the only
         # acquisition site, so promoting here guarantees no reader between a
-        # record's release and its reuse.  (The pool's deferred queue is consulted
-        # directly to keep the common nothing-parked cycle call-free.)
+        # record's release and its reuse.
         pool = self.pool
-        deferred = pool._deferred
-        if deferred:
-            # Inlined pool.promote (kept as the reference implementation).
-            rob_entries = self.rob._entries
-            free = pool._free
-            if rob_entries:
-                oldest = rob_entries[0].seq
-                while deferred and deferred[0][0] < oldest:
-                    free.append(deferred.popleft()[1].slot)
-            else:
-                while deferred:
-                    free.append(deferred.popleft()[1].slot)
+        rob_entries = self.rob._entries
+        pool.promote(rob_entries[0].seq if rob_entries else None)
         if self._fetch_blocked_on is not None:
             return
         cycle = self.cycle
@@ -1681,8 +1142,7 @@ class Simulator:
         predictor = self.predictor
         stats = self.stats
         replay = self._replay
-        pool_free = pool._free
-        pool_arena = pool._arena
+        acquire = pool.acquire
         # L1I hit fast path (the reference path is hierarchy.fetch): sequential
         # fetch hits the MRU line of one set almost every µ-op.
         l1i = self.hierarchy.l1i
@@ -1692,14 +1152,13 @@ class Simulator:
         l1i_stats = l1i.stats
         trace_list = self._trace_list
         trace_length = len(trace_list) if trace_list is not None else 0
-        unknown_cycle = UNKNOWN_CYCLE
         tracer = self.tracer
         fetched = 0
         taken_branches = 0
         while fetched < fetch_width:
-            # Inlined _next_dyninst (kept below as the reference implementation).
-            # A materialised capture is consumed by plain indexing — no generator
-            # resume, no StopIteration — which is the dominant fetch source.
+            # Next µ-op: squash replays first, then the trace.  A materialised
+            # capture is consumed by plain indexing — no generator resume, no
+            # StopIteration — which is the dominant fetch source.
             if replay:
                 dyn = replay.popleft()
             elif trace_list is not None:
@@ -1737,32 +1196,7 @@ class Simulator:
                     self._fetch_resume_cycle = cycle + icache_latency
                     break
 
-            # Inlined pool.acquire + InflightOp._init (both kept as the
-            # reference implementations; the recycle path below must mirror
-            # _init field for field).
-            if pool_free:
-                op = pool_arena[pool_free.pop()]
-                op.dyn = dyn
-                op.seq = dyn.seq
-                op.pc = dyn.pc
-                op.uop = uop
-                op.wake_gen += 1
-                op.wake_consumers = None
-                op.mem_waiters = None
-                op.avail_cycle = unknown_cycle
-                op.iq_waiters = 0
-                op.prediction = None
-                op.pred_used = False
-                op.early_executed = False
-                op.late_executed = False
-                op.in_issue_queue = False
-                op.issued = False
-                op.executed = False
-                op.squashed = False
-                op.dest_bank = 0
-                op.load_forwarded = False
-            else:
-                op = pool.acquire(dyn)
+            op = acquire(dyn)
             op.fetch_cycle = cycle
             op.dispatch_ready_cycle = cycle + fetch_to_dispatch
             # Inlined history.snapshot() memoisation (one attribute read on the
@@ -1865,20 +1299,7 @@ class Simulator:
             if not op.in_completion_wheel:
                 pool.release(op)
 
-    # ================================================================== run end / results
-    def _check_run_end(self) -> None:
-        """Reference implementation of the run-end test inlined at the end of
-        :meth:`_step` (kept in sync with it)."""
-        if self._finished:
-            return
-        if (
-            self._trace_exhausted
-            and not self._replay
-            and not self._frontend
-            and self.rob.is_empty
-        ):
-            self._finished = True
-
+    # ================================================================== results
     def _build_result(self) -> SimulationResult:
         full = self.stats.copy()
         baseline = self._warmup_snapshot if self._warmup_snapshot is not None else SimStats()

@@ -151,7 +151,8 @@ class VTAGE2DStrideHybrid(ValuePredictor):
         which remain the reference implementations)."""
         vtage = self.vtage
         vtage_value, vtage_confident, vtage_meta = vtage.lookup_parts(pc, history)
-        # Inlined TwoDeltaStridePredictor.lookup_parts (kept as the reference).
+        # TwoDeltaStridePredictor.lookup_parts, inlined for a pc whose index and
+        # tag are already cached (a first lookup of a pc calls it).
         stride = self.stride
         cached = stride._pc_cache.get(pc)
         if cached is None:

@@ -2,7 +2,8 @@
 
 One short cell per main-loop flavour: the fast path (``--mode event``) and the
 reference oracle (``--mode step``).  Both must emit the same IPC, since the two
-flavours are byte-identical, and a stage breakdown whose shares add up.
+flavours are byte-identical, and a stage breakdown whose shares add up.  Only the
+event wheel calls the scheduler, so only it reports ``schedule`` time.
 """
 
 import json
@@ -58,7 +59,9 @@ def test_stage_times_json_shape(payloads, mode):
     assert payload["config"] == "EOLE_4_64"
     assert payload["workload"] == "gcc"
     stages = payload["stages"]
-    assert set(stages) == {"fetch", "dispatch", "issue", "commit", "train", "completions"}
+    assert set(stages) == {
+        "fetch", "dispatch", "issue", "commit", "train", "completions", "schedule"
+    }
     for stage in ("fetch", "dispatch", "issue", "commit"):
         assert stages[stage]["calls"] > 0
         assert stages[stage]["seconds"] > 0
@@ -66,6 +69,12 @@ def test_stage_times_json_shape(payloads, mode):
     assert payload["total_seconds"] == pytest.approx(
         sum(stage["seconds"] for stage in stages.values())
     )
+
+
+def test_schedule_stage_runs_only_on_the_event_wheel(payloads):
+    assert payloads["event"]["stages"]["schedule"]["calls"] > 0
+    assert payloads["event"]["stages"]["schedule"]["seconds"] > 0
+    assert payloads["step"]["stages"]["schedule"]["calls"] == 0
 
 
 def test_stage_times_modes_agree_on_ipc(payloads):

@@ -7,7 +7,7 @@ from repro.isa.microop import MicroOp
 from repro.isa.opcode import Opcode
 from repro.isa.trace import DynInst
 from repro.ooo.functional_units import FunctionalUnitConfig, FunctionalUnitPool
-from repro.ooo.inflight import InflightOp
+from repro.ooo.inflight import UNKNOWN_CYCLE, InflightOp
 from repro.ooo.issue_queue import IssueQueue
 
 
@@ -19,12 +19,17 @@ def _op(seq: int, opcode: Opcode = Opcode.ADD) -> InflightOp:
     return op
 
 
-def _always_ready(op, cycle):
-    return True
+def _unresolved_producer() -> InflightOp:
+    """A producer that has not issued yet: its ``avail_cycle`` is unknown."""
+    producer = InflightOp(DynInst(seq=-1, pc=0, uop=MicroOp(Opcode.ADD, dst=2, srcs=(), imm=0)))
+    assert producer.avail_cycle == UNKNOWN_CYCLE
+    return producer
 
 
-def _latency(op):
-    return op.uop.latency
+def _select(iq: IssueQueue, cycle: int, width: int, pool=None) -> list[InflightOp]:
+    """``select_ready`` with a dispatch-to-issue latency of 1: entries dispatched
+    at cycle 0 are mature from cycle 1 on."""
+    return iq.select_ready(cycle, width, pool or FunctionalUnitPool(), 1)
 
 
 class TestCapacity:
@@ -43,12 +48,13 @@ class TestCapacity:
 
 
 class TestSelect:
+    """``select_ready``, the age-ordered select the pipeline runs."""
+
     def test_issue_width_respected(self):
         iq = IssueQueue(capacity=16)
         for seq in range(10):
             iq.insert(_op(seq))
-        pool = FunctionalUnitPool()
-        selected = iq.select(5, 4, pool, _always_ready, _latency)
+        selected = _select(iq, 5, 4)
         assert len(selected) == 4
         assert iq.occupancy == 6  # entries released at issue
 
@@ -57,16 +63,18 @@ class TestSelect:
         ops = [_op(seq) for seq in range(6)]
         for op in ops:
             iq.insert(op)
-        selected = iq.select(1, 3, FunctionalUnitPool(), _always_ready, _latency)
+        selected = _select(iq, 1, 3)
         assert [op.seq for op in selected] == [0, 1, 2]
 
     def test_not_ready_entries_are_skipped_but_kept(self):
         iq = IssueQueue(capacity=16)
+        producer = _unresolved_producer()
         ops = [_op(seq) for seq in range(4)]
         for op in ops:
+            if op.seq % 2 == 0:
+                op.producers = (producer,)
             iq.insert(op)
-        ready = lambda op, cycle: op.seq % 2 == 1
-        selected = iq.select(1, 4, FunctionalUnitPool(), ready, _latency)
+        selected = _select(iq, 1, 4)
         assert [op.seq for op in selected] == [1, 3]
         assert [op.seq for op in iq] == [0, 2]
 
@@ -75,14 +83,14 @@ class TestSelect:
         for seq in range(6):
             iq.insert(_op(seq, Opcode.MUL))
         pool = FunctionalUnitPool(FunctionalUnitConfig(mul_div=2))
-        selected = iq.select(1, 6, pool, _always_ready, _latency)
+        selected = _select(iq, 1, 6, pool)
         assert len(selected) == 2
 
     def test_issue_marks_timing_fields(self):
         iq = IssueQueue(capacity=4)
         op = _op(0)
         iq.insert(op)
-        iq.select(7, 1, FunctionalUnitPool(), _always_ready, _latency)
+        _select(iq, 7, 1)
         assert op.issued
         assert op.issue_cycle == 7
         assert not op.in_issue_queue
@@ -93,7 +101,7 @@ class TestSelect:
         squash.squashed = True
         iq.insert(keep)
         iq.insert(squash)
-        selected = iq.select(1, 4, FunctionalUnitPool(), _always_ready, _latency)
+        selected = _select(iq, 1, 4)
         assert selected == [keep]
         assert iq.occupancy == 0
 
@@ -109,4 +117,4 @@ class TestSelect:
 
     def test_empty_select(self):
         iq = IssueQueue(capacity=8)
-        assert iq.select(1, 4, FunctionalUnitPool(), _always_ready, _latency) == []
+        assert _select(iq, 1, 4) == []
